@@ -21,7 +21,8 @@
 //!   series, histogram summaries, and request-level flight records.
 //!
 //! Internals: a single event-driven reactor thread owns every connection
-//! (nonblocking accept + poll loop — idle sockets cost zero threads),
+//! (nonblocking sockets and a `poll(2)` readiness wait — idle sockets
+//! cost zero threads and an idle server costs zero wakeups),
 //! and compute requests route by workload name to a map of per-tenant
 //! engine shards. Each shard has its own fixed worker slice fed by a
 //! bounded queue (full ⇒ typed `Overloaded` reply, never unbounded
@@ -67,12 +68,22 @@
 //! let metrics = server.shutdown();
 //! assert_eq!(metrics.counter("requests.total"), 1);
 //! ```
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe` everywhere but one private module, `poll`,
+//! which declares and calls `poll(2)`: std can block on one socket at a
+//! time but has no way to wait on several, and the reactor must wait on
+//! the listener, every connection and its waker at once. That module
+//! exposes only a safe `wait` over an exclusively borrowed descriptor
+//! slice. The crate is therefore Unix-only.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
 mod client;
+mod poll;
 mod protocol;
 mod reactor;
 mod server;

@@ -20,10 +20,18 @@
 //! generation is bumped on slot reuse and on reply timeout, so a stale
 //! completion can never answer the wrong client.
 //!
-//! When nothing is ready the loop blocks on the completion channel with
-//! a millisecond timeout — a finished compute wakes it instantly, and
-//! the timeout bounds how late it can notice new sockets or deadlines.
+//! When a tick does no work the loop blocks in `poll(2)` until something
+//! it would act on is ready: the listener (unless stopping), each
+//! connection that may read (`POLLIN`) or has bytes to write
+//! (`POLLOUT`), and a [`Waker`] that shard workers write after every
+//! completion and [`ServerHandle::shutdown`](crate::ServerHandle::shutdown)
+//! writes to stop. The wait's timeout is the nearest deadline the tick
+//! enforces — a connection's idle, reply or write deadline, or the drain
+//! deadline while stopping — so an idle server with no connections
+//! sleeps until a client or a stop arrives, and no request waits on a
+//! timer to be noticed.
 
+use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{Request, Response, WireHealth, WireStats, WireTelemetry, MAX_FRAME_BYTES};
 use crate::server::{cache_key, ServerConfig};
 use crate::shard::{try_dispatch, Completion, ConnToken, Dispatch, Job, ShardMap};
@@ -31,13 +39,16 @@ use crate::telemetry::{histogram_summary, wire_trace, TelemetryCtx};
 use mcdvfs_obs::{count_edges, MetricSet, Outcome, Profiler, RequestTrace, Stage, WindowClass};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long an idle tick blocks on the completion channel.
-const IDLE_WAIT: Duration = Duration::from_millis(1);
+/// How long the reactor sleeps after `poll` or `accept` fails for lack
+/// of descriptors or memory: the failed work stays ready, so waiting
+/// again at once would spin.
+const ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Hard ceiling on shutdown drain, independent of `reply_timeout`.
 const MAX_DRAIN: Duration = Duration::from_secs(5);
@@ -120,6 +131,22 @@ impl Conn {
         }
     }
 
+    /// Whether the tick reads this socket: no request in flight (that is
+    /// the backpressure), not closing, and no EOF yet.
+    fn may_read(&self) -> bool {
+        self.in_flight.is_none() && !self.closing && !self.eof
+    }
+
+    /// The earliest deadline the tick enforces on this connection.
+    fn deadline(&self, config: &ServerConfig) -> Instant {
+        let due = match self.in_flight {
+            Some(started) => started + config.reply_timeout,
+            None => self.last_byte + config.idle_timeout,
+        };
+        self.write_stall
+            .map_or(due, |stall| due.min(stall + config.write_timeout))
+    }
+
     /// Appends one framed reply to the write buffer.
     fn push_frame(&mut self, payload: &str) {
         self.out
@@ -134,6 +161,7 @@ impl Conn {
 pub(crate) fn run(
     listener: TcpListener,
     completions: Receiver<Completion>,
+    waker: Waker,
     ctx: Ctx,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -141,6 +169,7 @@ pub(crate) fn run(
     let mut free: Vec<usize> = Vec::new();
     let mut next_gen: u64 = 0;
     let mut drain_deadline: Option<Instant> = None;
+    let mut fds: Vec<PollFd> = Vec::new();
 
     loop {
         let tick_start = Instant::now();
@@ -201,12 +230,61 @@ pub(crate) fn run(
         }
 
         if !did_work {
-            match completions.recv_timeout(IDLE_WAIT) {
-                Ok(completion) => deliver(&mut conns, &ctx, completion),
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {}
-            }
+            wait_ready(
+                &mut fds,
+                &listener,
+                &waker,
+                &conns,
+                &ctx.config,
+                drain_deadline,
+            );
         }
     }
+}
+
+/// Blocks until a socket the tick would act on is ready, a worker or
+/// `shutdown` wakes the reactor, or the nearest enforced deadline comes
+/// due. `drain_deadline` is set only while stopping, when the listener
+/// is no longer watched. `fds` is scratch reused across ticks.
+fn wait_ready(
+    fds: &mut Vec<PollFd>,
+    listener: &TcpListener,
+    waker: &Waker,
+    conns: &[Option<Conn>],
+    config: &ServerConfig,
+    drain_deadline: Option<Instant>,
+) {
+    fds.clear();
+    fds.push(PollFd::new(waker.fd(), POLLIN));
+    if drain_deadline.is_none() {
+        fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+    }
+    let mut deadline = drain_deadline;
+    for conn in conns.iter().flatten() {
+        let mut events = 0;
+        if conn.may_read() {
+            events |= POLLIN;
+        }
+        if conn.out_pos < conn.out.len() {
+            events |= POLLOUT;
+        }
+        // A connection waiting only on its compute reply is not polled:
+        // a peer hang-up would report readiness on every wait, and the
+        // completion's wake covers it.
+        if events != 0 {
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+        }
+        let due = conn.deadline(config);
+        deadline = Some(deadline.map_or(due, |d| d.min(due)));
+    }
+    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    if poll::wait(fds, timeout).is_err() {
+        std::thread::sleep(ERROR_BACKOFF);
+    }
+    // Drained after the wait and before the next tick reads the stop
+    // flag and the completion channel: a wake sent later leaves a byte
+    // for the next wait, so none is lost.
+    waker.drain();
 }
 
 /// Accepts every connection the listener has ready.
@@ -237,8 +315,19 @@ fn accept_ready(
                 accepted = true;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
+            }
+            Err(_) => {
+                // The pending connection keeps the listener readable.
+                std::thread::sleep(ERROR_BACKOFF);
+                break;
+            }
         }
     }
     accepted
@@ -322,7 +411,7 @@ fn service(conn: &mut Conn, idx: usize, ctx: &Ctx, next_gen: &mut u64) -> bool {
         return did_work;
     }
 
-    if !conn.closing && !conn.eof && conn.in_flight.is_none() {
+    if conn.may_read() {
         did_work |= fill(conn);
         if conn.dead {
             return did_work;

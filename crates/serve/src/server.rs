@@ -15,12 +15,13 @@
 //!
 //! # Shutdown
 //!
-//! [`ServerHandle::shutdown`] sets the stop flag; the reactor stops
-//! accepting, drains in-flight replies (bounded by the reply timeout),
-//! flushes write buffers, and exits. Dropping the shard map disconnects
-//! every job queue; workers finish what was already accepted and exit.
-//! Merged metrics (reactor slot plus every shard's worker slots, live
-//! and evicted) are absorbed into the profiler and returned.
+//! [`ServerHandle::shutdown`] sets the stop flag and wakes the reactor
+//! through its waker; the reactor stops accepting, drains in-flight
+//! replies (bounded by the reply timeout), flushes write buffers, and
+//! exits. Dropping the shard map disconnects every job queue; workers,
+//! blocked in `recv` on their queue, finish what was already accepted
+//! and exit. Merged metrics (reactor slot plus every shard's worker
+//! slots, live and evicted) are absorbed into the profiler and returned.
 //!
 //! # Observability
 //!
@@ -39,8 +40,9 @@
 //! bit-identical either way.
 
 use crate::cache::CacheKey;
+use crate::poll::Waker;
 use crate::reactor::{self, Ctx};
-use crate::shard::{Completion, ShardMap, TenantSpec};
+use crate::shard::{Completion, CompletionTx, ShardMap, TenantSpec};
 use crate::telemetry::TelemetryCtx;
 use mcdvfs_core::SweepEngine;
 use mcdvfs_obs::{FlightRecorder, MetricSet, Profiler};
@@ -220,7 +222,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures and failure to create the reactor's
+    /// waker socket pair.
     pub fn start(
         addr: impl ToSocketAddrs,
         state: ServeState,
@@ -229,6 +232,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
+        let waker = Waker::new()?;
         let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
         let profiler = Arc::clone(&state.profiler);
         let recorder = Arc::new(if config.telemetry {
@@ -240,7 +244,7 @@ impl Server {
             state.engine,
             state.trace,
             state.tenants,
-            completion_tx,
+            CompletionTx::new(completion_tx, waker.clone()),
             &config,
             Arc::clone(&recorder),
             Arc::clone(&profiler),
@@ -256,7 +260,8 @@ impl Server {
         };
         let reactor = {
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || reactor::run(listener, completion_rx, ctx, shutdown))
+            let waker = waker.clone();
+            std::thread::spawn(move || reactor::run(listener, completion_rx, waker, ctx, shutdown))
         };
         Ok(ServerHandle {
             addr: local,
@@ -264,6 +269,7 @@ impl Server {
             metrics,
             profiler,
             shutdown,
+            waker,
             reactor: Some(reactor),
         })
     }
@@ -278,6 +284,7 @@ pub struct ServerHandle {
     metrics: Arc<Mutex<MetricSet>>,
     profiler: Arc<Profiler>,
     shutdown: Arc<AtomicBool>,
+    waker: Waker,
     reactor: Option<JoinHandle<()>>,
 }
 
@@ -303,9 +310,14 @@ impl ServerHandle {
     /// Stops accepting, drains in-flight requests, joins the reactor and
     /// every shard worker, and returns the merged metrics (also absorbed
     /// into the state's profiler).
+    ///
+    /// The stop flag is raised and then the reactor's waker is written,
+    /// so a reactor blocked in `poll(2)` on an idle server wakes at once
+    /// instead of at its next connection deadline.
     #[must_use]
     pub fn shutdown(mut self) -> MetricSet {
         self.shutdown.store(true, Ordering::Relaxed);
+        self.waker.wake();
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
         }

@@ -23,6 +23,7 @@
 //! the reactor tick.
 
 use crate::cache::{CacheKey, ShardedLru};
+use crate::poll::Waker;
 use crate::protocol::{
     Request, Response, WireChoice, WireCluster, WirePolicyCounters, WirePolicyReport, WireRegion,
     WireReport, WireShard, WireStoreCounters,
@@ -37,14 +38,10 @@ use mcdvfs_types::FrequencyGrid;
 use mcdvfs_workloads::SampleTrace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// How long an idle shard worker waits for work before re-checking for
-/// disconnect.
-const WORKER_POLL: Duration = Duration::from_millis(5);
 
 /// Identifies one reactor connection *instance*: slot id plus a
 /// generation that changes whenever the slot is reused or the request
@@ -79,6 +76,28 @@ pub(crate) struct Completion {
     /// The job's flight record, stamped through `encoded`; the reactor
     /// stamps `write_flushed` and commits it.
     pub trace: Option<RequestTrace>,
+}
+
+/// The sending side of the completion channel. Every send also wakes
+/// the reactor, which blocks in `poll(2)` rather than on the channel.
+#[derive(Clone)]
+pub(crate) struct CompletionTx {
+    tx: Sender<Completion>,
+    waker: Waker,
+}
+
+impl CompletionTx {
+    pub fn new(tx: Sender<Completion>, waker: Waker) -> Self {
+        Self { tx, waker }
+    }
+
+    /// Queues `completion` for the reactor and wakes it. A reactor that
+    /// has already exited drops the completion.
+    pub fn send(&self, completion: Completion) {
+        if self.tx.send(completion).is_ok() {
+            self.waker.wake();
+        }
+    }
 }
 
 /// Everything needed to lazily characterize one tenant's engine.
@@ -224,7 +243,7 @@ pub(crate) struct ShardMap {
     /// snapshots survive eviction.
     cores: Mutex<Vec<Arc<ShardCore>>>,
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
-    completions: Sender<Completion>,
+    completions: CompletionTx,
     tick: AtomicU64,
     evictions: AtomicU64,
     workers_per_shard: usize,
@@ -250,7 +269,7 @@ impl ShardMap {
         default_engine: SweepEngine,
         default_trace: SampleTrace,
         specs: HashMap<String, TenantSpec>,
-        completions: Sender<Completion>,
+        completions: CompletionTx,
         config: &ServerConfig,
         recorder: Arc<FlightRecorder>,
         profiler: Arc<Profiler>,
@@ -604,16 +623,17 @@ fn record(slot: &Mutex<MetricSet>, f: impl FnOnce(&mut MetricSet)) {
 fn worker_loop(
     core: &Arc<ShardCore>,
     rx: &Arc<Mutex<Receiver<Job>>>,
-    completions: &Sender<Completion>,
+    completions: &CompletionTx,
     slot: usize,
 ) {
     loop {
+        // A worker blocks here holding the lock while its siblings block
+        // on the lock; dropping the last sender ends each one in turn.
         let job = {
             let guard = rx.lock().expect("job queue poisoned");
-            match guard.recv_timeout(WORKER_POLL) {
+            match guard.recv() {
                 Ok(job) => job,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
+                Err(_) => return,
             }
         };
         core.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -682,7 +702,7 @@ fn worker_loop(
             core.cache.insert(job.key, Arc::clone(&encoded));
         }
         // The reactor may have closed the connection; nothing to do then.
-        let _ = completions.send(Completion {
+        completions.send(Completion {
             conn: job.conn,
             reply: encoded,
             outcome,

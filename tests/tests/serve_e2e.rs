@@ -594,6 +594,39 @@ fn slow_loris_connections_are_reaped_by_the_reactor_tick() {
 }
 
 #[test]
+fn an_idle_reactor_sleeps_in_poll_instead_of_ticking_on_a_timer() {
+    // Telemetry on makes every tick count. One connected client stays
+    // silent, so nothing is ready and its idle deadline is 30 s away: a
+    // readiness-driven reactor wakes a handful of times at most, where a
+    // 1 ms idle timer would tick about 300 times.
+    let server =
+        Server::start("127.0.0.1:0", ServeState::new(engine(), trace()), config(1)).unwrap();
+    let _silent = std::net::TcpStream::connect(server.addr()).unwrap();
+    let before = server.metrics().counter("reactor.ticks");
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let ticks = server.metrics().counter("reactor.ticks") - before;
+    assert!(ticks <= 10, "{ticks} reactor ticks in 300 ms of idleness");
+    let _ = server.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_an_idle_reactor_without_waiting_for_a_deadline() {
+    // Default config: every connection deadline is 5-30 s away, so only
+    // the waker can end the reactor's wait promptly.
+    let server =
+        Server::start("127.0.0.1:0", ServeState::new(engine(), trace()), config(1)).unwrap();
+    let _silent = std::net::TcpStream::connect(server.addr()).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let started = std::time::Instant::now();
+    let _ = server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "shutdown of an idle server took {took:?}"
+    );
+}
+
+#[test]
 fn telemetry_gating_leaves_compute_replies_bit_identical() {
     // The flight recorder's zero-overhead contract: with telemetry off,
     // no trace is allocated and no window is observed, and either way
