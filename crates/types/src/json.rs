@@ -268,12 +268,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> std::result::Result<String, St
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the full UTF-8 scalar starting here.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let ch = rest.chars().next().expect("non-empty by match");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain bytes up to the next quote or
+                // backslash as one slice, validating only that run, so a
+                // long string parses in linear time.
+                let start = *pos;
+                *pos = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |run| start + run);
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|e| format!("invalid UTF-8 at byte {}", start + e.valid_up_to()))?;
+                out.push_str(run);
             }
         }
     }
