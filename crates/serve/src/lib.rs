@@ -7,7 +7,7 @@
 //! per-interval queries. This crate is that serving layer for the
 //! reproduction: a std-only multi-threaded TCP server (no tokio/hyper —
 //! the workspace builds offline) exposing the
-//! [`SweepEngine`](mcdvfs_core::SweepEngine) as five queries over a
+//! [`SweepEngine`](mcdvfs_core::SweepEngine) as nine queries over a
 //! length-prefixed JSON wire protocol:
 //!
 //! * `OptimalSetting {budget}` — per-sample optimal settings,
