@@ -31,9 +31,9 @@
 //! Beyond per-run events, the crate carries the *pipeline* observability
 //! layer used by the analysis stack:
 //!
-//! * [`Span`]/[`TraceSink`]/[`TraceBuffer`] — hierarchical phase spans
-//!   with enter/exit timestamps, parent links and thread ids, gated
-//!   exactly like [`Recorder`];
+//! * [`Span`] — hierarchical phase spans with enter/exit timestamps,
+//!   parent links and thread ids, opened through a [`Profiler`] and
+//!   gated exactly like [`Recorder`];
 //! * [`MetricSet`] — single-owner counters, gauges and duration
 //!   [`Histogram`]s that worker threads build privately and the spawning
 //!   thread merges at join time (lock-free by ownership);
@@ -84,5 +84,5 @@ pub use ledger::RunLedger;
 pub use metrics::{count_edges, duration_edges_ns, MetricSet};
 pub use profiler::{fmt_ns, phase_totals_of, PhaseTotal, Profiler};
 pub use recorder::{NullRecorder, Recorder};
-pub use trace::{thread_ordinal, NullTraceSink, Span, SpanId, SpanRecord, TraceBuffer, TraceSink};
+pub use trace::{thread_ordinal, Span, SpanId, SpanRecord};
 pub use window::{Window, WindowClass, WindowRing};

@@ -99,13 +99,17 @@ impl MetricSet {
     }
 
     /// Observes `value` into the named histogram, creating it over
-    /// `edges()` on first use. Subsequent observations must target the
-    /// same edges (merging enforces this too).
+    /// `edges()` on first use. Allocation-free once the histogram exists,
+    /// like [`incr`](Self::incr). Subsequent observations must target
+    /// the same edges (merging enforces this too).
     pub fn observe(&mut self, name: &str, value: f64, edges: impl FnOnce() -> Vec<f64>) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(edges()))
-            .add(value);
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.add(value);
+        } else {
+            let mut h = Histogram::new(edges());
+            h.add(value);
+            self.histograms.insert(name.to_string(), h);
+        }
     }
 
     /// Observes a duration in nanoseconds into the named histogram over

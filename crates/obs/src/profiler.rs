@@ -16,7 +16,7 @@
 //! no byte of any analysis output.
 
 use crate::metrics::MetricSet;
-use crate::trace::{NullTraceSink, Span, SpanId, SpanRecord, TraceBuffer, TraceSink};
+use crate::trace::{Span, SpanId, SpanRecord, TraceBuffer};
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
@@ -40,8 +40,6 @@ pub struct Profiler {
     buffer: TraceBuffer,
     metrics: Mutex<MetricSet>,
 }
-
-static NULL_SINK: NullTraceSink = NullTraceSink;
 
 impl Profiler {
     /// An enabled profiler: spans and metrics are collected.
@@ -78,28 +76,23 @@ impl Profiler {
         self.on
     }
 
-    /// The span sink: the internal buffer when enabled, the null sink
-    /// otherwise.
-    #[must_use]
-    pub fn sink(&self) -> &dyn TraceSink {
-        if self.on {
-            &self.buffer
-        } else {
-            &NULL_SINK
-        }
+    /// The span buffer when enabled; `None` makes every span inert.
+    fn buffer(&self) -> Option<&TraceBuffer> {
+        self.on.then_some(&self.buffer)
     }
 
     /// Opens a root phase span.
     #[must_use]
     pub fn span(&self, name: &'static str) -> Span<'_> {
-        Span::root(self.sink(), name)
+        Span::under(self.buffer(), 0, name)
     }
 
-    /// Opens a span under an explicit parent id (cross-thread parenting;
-    /// see [`Span::under`]).
+    /// Opens a span under an explicit parent id — the cross-thread link:
+    /// workers receive the spawning phase's [`Span::id`] and attach their
+    /// own spans to it.
     #[must_use]
     pub fn span_under(&self, parent: SpanId, name: &'static str) -> Span<'_> {
-        Span::under(self.sink(), parent, name)
+        Span::under(self.buffer(), parent, name)
     }
 
     /// Folds one worker's [`MetricSet`] into the aggregate. Called at

@@ -1,17 +1,18 @@
-//! Hierarchical pipeline tracing: spans, sinks and the collecting buffer.
+//! Hierarchical pipeline tracing: spans and the buffer that collects them.
 //!
 //! A [`Span`] is an RAII guard around one named interval of work — entering
 //! creates it, dropping it records a [`SpanRecord`] (enter/exit timestamps,
-//! parent link, thread id) into a [`TraceSink`]. The gating contract is the
-//! same as [`Recorder`](crate::Recorder): a disabled sink
-//! ([`NullTraceSink`]) makes span construction skip the clock and the id
-//! counter entirely, so untraced runs pay one branch per span site and
-//! nothing else.
+//! parent link, thread id) into its [`Profiler`](crate::Profiler)'s buffer.
+//! The gating contract is the same as [`Recorder`](crate::Recorder): a
+//! disabled profiler hands out spans with no buffer, which skip the clock
+//! and the id counter entirely, so untraced runs pay one branch per span
+//! site and nothing else.
 //!
 //! Spans may be opened on any thread. Worker threads link to a parent on
 //! another thread through the parent's [`SpanId`]
-//! ([`Span::under`]), which is how `fan_out`-style scoped pools attribute
-//! per-worker intervals to the phase that spawned them.
+//! ([`Profiler::span_under`](crate::Profiler::span_under)), which is how
+//! `fan_out`-style scoped pools attribute per-worker intervals to the
+//! phase that spawned them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -61,71 +62,23 @@ impl SpanRecord {
     }
 }
 
-/// A sink for completed spans, plus the id and clock authority spans use.
-///
-/// Like [`Recorder`](crate::Recorder), instrumented code gates on
-/// [`enabled`](Self::enabled): when it returns `false`, [`Span`] guards
-/// never query the clock, never take an id, and record nothing on drop.
-pub trait TraceSink: Sync {
-    /// Whether this sink wants spans at all.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Nanoseconds elapsed since the sink's epoch.
-    fn now_ns(&self) -> u64;
-
-    /// Allocates the next span id (1-based, unique within the sink).
-    fn next_id(&self) -> SpanId;
-
-    /// Accepts one completed span. Must not panic; bounded sinks drop
-    /// instead.
-    fn record_span(&self, span: SpanRecord);
-}
-
-/// The always-disabled sink: no clock, no ids, no storage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullTraceSink;
-
-impl TraceSink for NullTraceSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn now_ns(&self) -> u64 {
-        0
-    }
-
-    fn next_id(&self) -> SpanId {
-        0
-    }
-
-    fn record_span(&self, _span: SpanRecord) {}
-}
-
-/// An in-memory sink collecting every completed span, shareable across
-/// scoped worker threads.
+/// The in-memory buffer behind an enabled [`Profiler`](crate::Profiler):
+/// the span clock, the id counter and every completed span, shareable
+/// across scoped worker threads.
 ///
 /// Span *exits* lock a mutex, so this is meant for phase-granularity
 /// spans (a handful per worker), not per-sample events — per-sample
 /// quantities belong in a per-thread
 /// [`MetricSet`](crate::MetricSet), which never locks.
 #[derive(Debug)]
-pub struct TraceBuffer {
+pub(crate) struct TraceBuffer {
     epoch: Instant,
     next: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
 }
 
-impl Default for TraceBuffer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TraceBuffer {
     /// An empty buffer whose epoch is "now".
-    #[must_use]
     pub fn new() -> Self {
         Self {
             epoch: Instant::now(),
@@ -134,69 +87,42 @@ impl TraceBuffer {
         }
     }
 
-    /// Number of completed spans collected so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.lock().expect("trace buffer poisoned").len()
-    }
-
-    /// `true` when no spans have completed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshot of the completed spans, in completion order.
-    #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.spans.lock().expect("trace buffer poisoned").clone()
     }
 
-    /// Discards all collected spans (ids keep incrementing).
-    pub fn clear(&self) {
-        self.spans.lock().expect("trace buffer poisoned").clear();
-    }
-}
-
-impl TraceSink for TraceBuffer {
     fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    fn next_id(&self) -> SpanId {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn record_span(&self, span: SpanRecord) {
-        self.spans.lock().expect("trace buffer poisoned").push(span);
-    }
 }
 
-/// RAII guard for one named interval. Created against a [`TraceSink`];
-/// records itself on drop. On a disabled sink the guard is inert.
+/// RAII guard for one named interval, opened through a
+/// [`Profiler`](crate::Profiler); records itself on drop. Under a
+/// disabled profiler the guard is inert.
 ///
 /// # Examples
 ///
 /// ```
-/// use mcdvfs_obs::{Span, TraceBuffer, TraceSink};
+/// use mcdvfs_obs::Profiler;
 ///
-/// let buffer = TraceBuffer::new();
+/// let profiler = Profiler::enabled();
 /// {
-///     let phase = Span::root(&buffer, "sweep");
+///     let phase = profiler.span("sweep");
 ///     let _inner = phase.child("sweep.points");
 /// } // both spans complete here, innermost first
-/// let spans = buffer.spans();
+/// let spans = profiler.spans();
 /// assert_eq!(spans.len(), 2);
 /// assert_eq!(spans[0].name, "sweep.points");
 /// assert_eq!(spans[0].parent, spans[1].id);
 /// ```
 pub struct Span<'a> {
-    sink: &'a dyn TraceSink,
+    /// `None` when the profiler is disabled: no clock, no id, no record.
+    buffer: Option<&'a TraceBuffer>,
     id: SpanId,
     parent: SpanId,
     name: &'static str,
     start_ns: u64,
-    live: bool,
 }
 
 impl std::fmt::Debug for Span<'_> {
@@ -205,51 +131,47 @@ impl std::fmt::Debug for Span<'_> {
             .field("id", &self.id)
             .field("parent", &self.parent)
             .field("name", &self.name)
-            .field("live", &self.live)
+            .field("live", &self.is_live())
             .finish_non_exhaustive()
     }
 }
 
 impl<'a> Span<'a> {
-    /// Opens a root span (no parent).
-    #[must_use]
-    pub fn root(sink: &'a dyn TraceSink, name: &'static str) -> Self {
-        Self::under(sink, 0, name)
-    }
-
-    /// Opens a span under an explicit parent id — the cross-thread link:
-    /// workers receive the spawning phase's [`Span::id`] and attach their
-    /// own spans to it.
-    #[must_use]
-    pub fn under(sink: &'a dyn TraceSink, parent: SpanId, name: &'static str) -> Self {
-        if !sink.enabled() {
+    /// Opens a span under an explicit parent id (`0` for a root) — the
+    /// cross-thread link: workers receive the spawning phase's
+    /// [`Span::id`] and attach their own spans to it.
+    pub(crate) fn under(
+        buffer: Option<&'a TraceBuffer>,
+        parent: SpanId,
+        name: &'static str,
+    ) -> Self {
+        let Some(b) = buffer else {
             return Self {
-                sink,
+                buffer,
                 id: 0,
                 parent: 0,
                 name,
                 start_ns: 0,
-                live: false,
             };
-        }
+        };
         Self {
-            sink,
-            id: sink.next_id(),
+            buffer,
+            id: b.next.fetch_add(1, Ordering::Relaxed),
             parent,
             name,
-            start_ns: sink.now_ns(),
-            live: true,
+            start_ns: b.now_ns(),
         }
     }
 
-    /// Opens a child span on the same sink (same thread borrow).
+    /// Opens a child span in the same buffer (same thread borrow).
     #[must_use]
     pub fn child(&self, name: &'static str) -> Span<'a> {
-        Span::under(self.sink, self.id, name)
+        Span::under(self.buffer, self.id, name)
     }
 
-    /// This span's id (`0` when the sink is disabled), for cross-thread
-    /// [`Span::under`] parenting.
+    /// This span's id (`0` when the profiler is disabled), for
+    /// cross-thread [`Profiler::span_under`](crate::Profiler::span_under)
+    /// parenting.
     #[must_use]
     pub fn id(&self) -> SpanId {
         self.id
@@ -258,21 +180,22 @@ impl<'a> Span<'a> {
     /// `true` when the span will record on drop.
     #[must_use]
     pub fn is_live(&self) -> bool {
-        self.live
+        self.buffer.is_some()
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if self.live {
-            self.sink.record_span(SpanRecord {
+        if let Some(b) = self.buffer {
+            let record = SpanRecord {
                 id: self.id,
                 parent: self.parent,
                 name: self.name,
                 thread: thread_ordinal(),
                 start_ns: self.start_ns,
-                end_ns: self.sink.now_ns(),
-            });
+                end_ns: b.now_ns(),
+            };
+            b.spans.lock().expect("trace buffer poisoned").push(record);
         }
     }
 }
@@ -280,23 +203,13 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_makes_spans_inert() {
-        let sink = NullTraceSink;
-        let s = Span::root(&sink, "noop");
-        assert!(!s.is_live());
-        assert_eq!(s.id(), 0);
-        let c = s.child("noop.child");
-        assert!(!c.is_live());
-        assert_eq!(std::mem::size_of::<NullTraceSink>(), 0);
-    }
+    use crate::Profiler;
 
     #[test]
     fn spans_record_parent_links_and_ordering() {
-        let buffer = TraceBuffer::new();
+        let p = Profiler::enabled();
         {
-            let root = Span::root(&buffer, "outer");
+            let root = p.span("outer");
             {
                 let _a = root.child("inner_a");
             }
@@ -304,7 +217,7 @@ mod tests {
                 let _b = root.child("inner_b");
             }
         }
-        let spans = buffer.spans();
+        let spans = p.spans();
         assert_eq!(spans.len(), 3);
         // Children complete before the root.
         assert_eq!(spans[0].name, "inner_a");
@@ -320,18 +233,18 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_share_the_timeline() {
-        let buffer = TraceBuffer::new();
-        let root = Span::root(&buffer, "fan");
+        let p = Profiler::enabled();
+        let root = p.span("fan");
         let parent_id = root.id();
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
-                    let _w = Span::under(&buffer, parent_id, "fan.worker");
+                    let _w = p.span_under(parent_id, "fan.worker");
                 });
             }
         });
         drop(root);
-        let spans = buffer.spans();
+        let spans = p.spans();
         assert_eq!(spans.len(), 4);
         let workers: Vec<_> = spans.iter().filter(|s| s.name == "fan.worker").collect();
         assert_eq!(workers.len(), 3);
@@ -343,20 +256,11 @@ mod tests {
 
     #[test]
     fn ids_are_unique_and_one_based() {
-        let buffer = TraceBuffer::new();
-        let a = Span::root(&buffer, "a");
-        let b = Span::root(&buffer, "b");
+        let p = Profiler::enabled();
+        let a = p.span("a");
+        let b = p.span("b");
         assert!(a.id() >= 1);
         assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn clear_discards_spans() {
-        let buffer = TraceBuffer::new();
-        drop(Span::root(&buffer, "x"));
-        assert!(!buffer.is_empty());
-        buffer.clear();
-        assert!(buffer.is_empty());
     }
 
     #[test]

@@ -61,7 +61,7 @@ use mcdvfs_types::{FrequencyGrid, SplitMix64};
 use mcdvfs_workloads::Benchmark;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -296,18 +296,28 @@ fn build_state(samples: usize, with_tenants: bool, grid: FrequencyGrid) -> Serve
 }
 
 /// Builds every tenant's shard before a timed window so lazy
-/// characterization cost never pollutes latency histograms.
-fn warm_tenants(addr: SocketAddr) -> WireStats {
+/// characterization cost never pollutes the timed phases' histograms.
+/// Also returns the warmup requests' client-side latencies: the server's
+/// request histogram holds them too, so the telemetry cross-check must
+/// compare against them.
+fn warm_tenants(addr: SocketAddr) -> (WireStats, Histogram) {
     let mut client = Client::connect(addr).expect("warmup connect");
+    let mut latency = Histogram::new(duration_edges_ns());
     for tenant in TENANTS {
+        let t0 = Instant::now();
         let reply = client.request_for(tenant, &Request::Health);
+        latency.add(t0.elapsed().as_nanos() as f64);
         assert!(
             matches!(reply, Ok(Response::Health(_))),
             "warmup health for {tenant:?} failed: {reply:?}"
         );
     }
+    let t0 = Instant::now();
     match client.request(&Request::Stats) {
-        Ok(Response::Stats(stats)) => stats,
+        Ok(Response::Stats(stats)) => {
+            latency.add(t0.elapsed().as_nanos() as f64);
+            (stats, latency)
+        }
         other => panic!("warmup stats failed: {other:?}"),
     }
 }
@@ -376,8 +386,7 @@ fn main() {
 
     // ---- Phases 1+2: steady closed + open loop, mixed tenants ------------
     let steady_connections = args.clients * args.conns;
-    let state = build_state(40, true, FrequencyGrid::coarse())
-        .with_profiler(Arc::clone(harness.profiler()));
+    let state = build_state(40, true, FrequencyGrid::coarse());
     let server = start_server(
         state,
         ServerConfig {
@@ -387,7 +396,7 @@ fn main() {
         },
     );
     let addr = server.addr();
-    let warm = warm_tenants(addr);
+    let (warm, warm_latency) = warm_tenants(addr);
     if warm.engines != TENANTS.len() as u64 {
         failures.push(format!(
             "steady: {} engine shards resident after warmup, expected {}",
@@ -448,6 +457,7 @@ fn main() {
     let stats = probe.request(&Request::Stats).ok();
     drop(probe);
     let metrics = server.shutdown();
+    harness.profiler().absorb(metrics.clone());
 
     for (phase, tally, issued) in [
         ("steady", &steady, steady_issued),
@@ -499,11 +509,14 @@ fn main() {
         _ => failures.push("steady: stats query failed".to_string()),
     }
 
-    // Server-vs-client cross-check: exact request-count agreement and a
-    // server p95 at or under the client p95 (server samples exclude the
-    // network and client stack). Runs in smoke and full runs alike.
+    // Server-vs-client cross-check: exact request-count agreement, one
+    // server latency sample per committed flight, and a server p95 at or
+    // under the client p95. Every server sample (warmup and both steady
+    // phases, committed before the telemetry query) has a client sample
+    // here that contains it plus the network and client stack. Runs in
+    // smoke and full runs alike.
     let client_total = 5 + steady_issued + open_issued + 3;
-    let mut client_hist = Histogram::new(duration_edges_ns());
+    let mut client_hist = warm_latency;
     for phase in [&steady, &steady_open] {
         if let Some(h) = &phase.latency {
             client_hist.merge(h);
@@ -633,7 +646,7 @@ fn main() {
 
     let mixed_server = start_server(build_state(10, true, FrequencyGrid::coarse()), scale_config);
     let mixed_addr = mixed_server.addr();
-    let mixed_warm = warm_tenants(mixed_addr);
+    let (mixed_warm, _) = warm_tenants(mixed_addr);
     let (mixed, mixed_elapsed) = run_pools(mixed_addr, scale_threads, 1, None, |c| {
         unique_budget_requests(TENANTS[c % TENANTS.len()], c, scale_requests)
     });

@@ -36,7 +36,7 @@ use crate::protocol::{Request, Response, WireHealth, WireStats, WireTelemetry, M
 use crate::server::{cache_key, ServerConfig};
 use crate::shard::{try_dispatch, Completion, ConnToken, Dispatch, Job, ShardMap};
 use crate::telemetry::{histogram_summary, wire_trace, TelemetryCtx};
-use mcdvfs_obs::{count_edges, MetricSet, Outcome, Profiler, RequestTrace, Stage, WindowClass};
+use mcdvfs_obs::{count_edges, MetricSet, Outcome, RequestTrace, Stage};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -60,7 +60,6 @@ const READ_CHUNK: usize = 16 * 1024;
 pub(crate) struct Ctx {
     pub map: Arc<ShardMap>,
     pub metrics: Arc<Mutex<MetricSet>>,
-    pub profiler: Arc<Profiler>,
     pub tel: TelemetryCtx,
     pub config: ServerConfig,
 }
@@ -93,7 +92,7 @@ struct Conn {
     /// Identity generation for completion routing.
     gen: u64,
     /// Set while a compute request is queued or running; holds the
-    /// request's arrival instant for the latency histogram.
+    /// dispatch instant its reply deadline runs from.
     in_flight: Option<Instant>,
     /// When the first byte of the frame being accumulated arrived —
     /// the flight record's `accepted` stamp.
@@ -202,7 +201,7 @@ pub(crate) fn run(
                 // A dying connection's replies may never fully flush;
                 // commit their flight records without the final stamp.
                 for trace in conn.pending.drain(..) {
-                    ctx.tel.recorder.commit(trace);
+                    ctx.tel.commit(trace, &ctx.metrics);
                 }
                 *slot = None;
                 free.push(idx);
@@ -345,32 +344,17 @@ fn deliver(conns: &mut [Option<Conn>], ctx: &Ctx, completion: Completion) {
     let Some(conn) = live else {
         if let Some(mut trace) = completion.trace {
             trace.outcome = Outcome::TimedOut;
-            ctx.tel.recorder.commit(trace);
+            ctx.tel.commit(trace, &ctx.metrics);
         }
         return;
     };
-    let Some(started) = conn.in_flight.take() else {
+    if conn.in_flight.take().is_none() {
         return;
-    };
+    }
     conn.push_frame(&completion.reply);
-    let latency_ns = started.elapsed().as_nanos() as f64;
-    ctx.record(|m| {
-        m.observe_duration_ns("latency.request_ns", latency_ns);
-    });
     ctx.tel.in_flight_add(-1);
-    ctx.tel
-        .observe_window(window_class(completion.outcome), latency_ns);
     if let Some(trace) = completion.trace {
         conn.pending.push(trace);
-    }
-}
-
-/// Maps a request outcome onto its windowed-telemetry class.
-fn window_class(outcome: Outcome) -> WindowClass {
-    match outcome {
-        Outcome::Ok | Outcome::CacheHit => WindowClass::Ok,
-        Outcome::Error | Outcome::TimedOut => WindowClass::Error,
-        Outcome::Shed => WindowClass::Shed,
     }
 }
 
@@ -396,12 +380,7 @@ fn service(conn: &mut Conn, idx: usize, ctx: &Ctx, next_gen: &mut u64) -> bool {
             *next_gen += 1;
             conn.gen = *next_gen;
             conn.push_frame(&Response::Error("compute timed out".to_string()).encode());
-            let latency_ns = started.elapsed().as_nanos() as f64;
-            ctx.record(|m| {
-                m.observe_duration_ns("latency.request_ns", latency_ns);
-            });
             ctx.tel.in_flight_add(-1);
-            ctx.tel.observe_window(WindowClass::Error, latency_ns);
             did_work = true;
         }
     } else if conn.last_byte.elapsed() > ctx.config.idle_timeout {
@@ -474,7 +453,7 @@ fn commit_flushed(conn: &mut Conn, ctx: &Ctx) {
     let flushed_ns = ctx.tel.recorder.now_ns();
     for mut trace in conn.pending.drain(..) {
         trace.stamp(Stage::WriteFlushed, flushed_ns);
-        ctx.tel.recorder.commit(trace);
+        ctx.tel.commit(trace, &ctx.metrics);
     }
 }
 
@@ -594,7 +573,6 @@ fn handle_payload(
     ctx: &Ctx,
     accepted: Option<Instant>,
 ) {
-    let started = Instant::now();
     let rec = &ctx.tel.recorder;
     let mut trace = if rec.is_enabled() {
         // Born before decode so even malformed requests leave a record;
@@ -603,32 +581,23 @@ fn handle_payload(
         if let Some(at) = accepted {
             t.stamp(Stage::Accepted, rec.ns_of(at));
         }
-        t.stamp(Stage::FrameComplete, rec.ns_of(started));
+        t.stamp(Stage::FrameComplete, rec.now_ns());
         Some(t)
     } else {
         None
     };
-    let p = &ctx.profiler;
-    let decoded = {
-        let _span = p.span("decode");
-        Request::decode_envelope(payload)
-    };
-    let (request, workload) = match decoded {
+    let (request, workload) = match Request::decode_envelope(payload) {
         Ok(decoded) => decoded,
         Err(message) => {
             ctx.record(|m| m.incr("protocol.errors", 1));
             let reply = Response::Error(message).encode();
-            reply_inline(conn, ctx, started, &reply, Outcome::Error, trace);
+            reply_inline(conn, ctx, &reply, Outcome::Error, trace);
             return;
         }
     };
     if let Some(t) = trace.as_mut() {
         t.kind = request.kind();
         t.stamp(Stage::Decoded, rec.now_ns());
-        let decode_ns = started.elapsed().as_nanos() as f64;
-        ctx.record(|m| {
-            m.observe_duration_ns(&format!("stage.{}.decode_ns", request.kind()), decode_ns);
-        });
     }
     ctx.record(|m| {
         m.incr("requests.total", 1);
@@ -656,13 +625,13 @@ fn handle_payload(
             rendered: snapshot.render(),
         })
         .encode();
-        reply_inline(conn, ctx, started, &reply, Outcome::Ok, trace);
+        reply_inline(conn, ctx, &reply, Outcome::Ok, trace);
         return;
     }
 
     if matches!(request, Request::Telemetry) {
         let reply = Response::Telemetry(build_telemetry(ctx)).encode();
-        reply_inline(conn, ctx, started, &reply, Outcome::Ok, trace);
+        reply_inline(conn, ctx, &reply, Outcome::Ok, trace);
         return;
     }
 
@@ -673,7 +642,7 @@ fn handle_payload(
             .map(wire_trace)
             .collect();
         let reply = Response::TraceDump(dump).encode();
-        reply_inline(conn, ctx, started, &reply, Outcome::Ok, trace);
+        reply_inline(conn, ctx, &reply, Outcome::Ok, trace);
         return;
     }
 
@@ -682,7 +651,7 @@ fn handle_payload(
         Err(message) => {
             ctx.record(|m| m.incr("route.unknown_workload", 1));
             let reply = Response::Error(message).encode();
-            reply_inline(conn, ctx, started, &reply, Outcome::Error, trace);
+            reply_inline(conn, ctx, &reply, Outcome::Error, trace);
             return;
         }
     };
@@ -703,7 +672,7 @@ fn handle_payload(
             workers: ctx.config.workers.max(1),
         })
         .encode();
-        reply_inline(conn, ctx, started, &reply, Outcome::Ok, trace);
+        reply_inline(conn, ctx, &reply, Outcome::Ok, trace);
         return;
     }
 
@@ -718,13 +687,13 @@ fn handle_payload(
             request.kind()
         ))
         .encode();
-        reply_inline(conn, ctx, started, &reply, Outcome::Error, trace);
+        reply_inline(conn, ctx, &reply, Outcome::Error, trace);
         return;
     };
     if let Some(hit) = core.cache.get(&key) {
         core.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         ctx.record(|m| m.incr("cache.hit", 1));
-        reply_inline(conn, ctx, started, &hit, Outcome::CacheHit, trace);
+        reply_inline(conn, ctx, &hit, Outcome::CacheHit, trace);
         return;
     }
 
@@ -738,7 +707,6 @@ fn handle_payload(
             id: idx,
             gen: conn.gen,
         },
-        enqueued: started,
         trace,
     };
     match try_dispatch(&core, &job_tx, job) {
@@ -746,14 +714,13 @@ fn handle_payload(
             ctx.record(|m| m.gauge_max("queue.depth_max", depth as f64));
             ctx.tel.in_flight_add(1);
             ctx.tel.observe_queue_depth(depth as u64);
-            conn.in_flight = Some(started);
+            conn.in_flight = Some(Instant::now());
         }
         (Dispatch::Shed(job), _) => {
             ctx.record(|m| m.incr("overloaded", 1));
             reply_inline(
                 conn,
                 ctx,
-                started,
                 &Response::Overloaded.encode(),
                 Outcome::Shed,
                 job.trace,
@@ -761,7 +728,7 @@ fn handle_payload(
         }
         (Dispatch::Gone(job), _) => {
             let reply = Response::Error("server is shutting down".to_string()).encode();
-            reply_inline(conn, ctx, started, &reply, Outcome::Error, job.trace);
+            reply_inline(conn, ctx, &reply, Outcome::Error, job.trace);
         }
     }
 }
@@ -797,15 +764,14 @@ fn build_telemetry(ctx: &Ctx) -> WireTelemetry {
             max_ns: w.max_ns().unwrap_or(0.0),
         })
         .collect();
-    let shard_compute = ctx
-        .map
-        .shard_metric_rows()
+    let mut shard_compute: Vec<_> = ctx
+        .tel
+        .shard_compute
+        .borrow()
         .iter()
-        .filter_map(|(name, set)| {
-            set.histogram("latency.compute_ns")
-                .map(|h| histogram_summary(name, h))
-        })
+        .map(|(&fingerprint, h)| histogram_summary(&ctx.map.name_of(fingerprint), h))
         .collect();
+    shard_compute.sort_by(|a, b| a.name.cmp(&b.name));
     let counts = rec.counts();
     WireTelemetry {
         enabled: rec.is_enabled(),
@@ -828,23 +794,16 @@ fn build_telemetry(ctx: &Ctx) -> WireTelemetry {
     }
 }
 
-/// Queues a reactor-produced reply, records its request latency, counts
-/// it into the current telemetry window, and parks its flight record
-/// (stamped `encoded` now) until the write buffer drains.
+/// Queues a reactor-produced reply and parks its flight record (stamped
+/// `encoded` now) until the write buffer drains.
 fn reply_inline(
     conn: &mut Conn,
     ctx: &Ctx,
-    started: Instant,
     payload: &str,
     outcome: Outcome,
     trace: Option<RequestTrace>,
 ) {
     conn.push_frame(payload);
-    let latency_ns = started.elapsed().as_nanos() as f64;
-    ctx.record(|m| {
-        m.observe_duration_ns("latency.request_ns", latency_ns);
-    });
-    ctx.tel.observe_window(window_class(outcome), latency_ns);
     if let Some(mut t) = trace {
         t.outcome = outcome;
         t.stamp(Stage::Encoded, ctx.tel.recorder.now_ns());

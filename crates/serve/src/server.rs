@@ -21,23 +21,23 @@
 //! exits. Dropping the shard map disconnects every job queue; workers,
 //! blocked in `recv` on their queue, finish what was already accepted
 //! and exit. Merged metrics (reactor slot plus every shard's worker
-//! slots, live and evicted) are absorbed into the profiler and returned.
+//! slots, live and evicted) are returned.
 //!
 //! # Observability
 //!
-//! Request phases trace as profiler spans (`decode` in the reactor,
-//! `dispatch`/`compute`/`encode` in the workers). Counters, the
-//! queue-depth max gauge, and latency histograms accumulate per worker
-//! slot plus one reactor-side set; `Stats` renders a merged snapshot at
-//! any moment, plus per-shard rows (requests, cache hits/misses, queue
+//! Counters and the queue-depth max gauge accumulate per worker slot
+//! plus one reactor-side set; `Stats` renders a merged snapshot at any
+//! moment, plus per-shard rows (requests, cache hits/misses, queue
 //! depth, pinning). With [`ServerConfig::telemetry`] on (the default),
-//! every request additionally carries a
-//! [`RequestTrace`](mcdvfs_obs::RequestTrace) stamped at each pipeline
-//! stage and committed to a bounded flight ring, and the reactor folds
-//! each reply into a ring of 1-second telemetry windows — both served
-//! over the wire by the `telemetry` and `trace_dump` queries. Telemetry
-//! off skips every trace allocation and window observation; replies are
-//! bit-identical either way.
+//! every request carries a [`RequestTrace`](mcdvfs_obs::RequestTrace)
+//! stamped at each pipeline stage, and the trace is the server's only
+//! request clock: when the reactor commits it to the bounded flight
+//! ring, the same commit derives `latency.request_ns` (first byte in to
+//! last byte flushed), the `stage.{kind}.*` histograms, the per-shard
+//! compute rows and one sample of the 1-second telemetry windows — all
+//! served over the wire by the `telemetry` and `trace_dump` queries.
+//! Telemetry off takes no per-request timing at all and records no
+//! histogram; replies are bit-identical either way.
 
 use crate::cache::CacheKey;
 use crate::poll::Waker;
@@ -45,7 +45,7 @@ use crate::reactor::{self, Ctx};
 use crate::shard::{Completion, CompletionTx, ShardMap, TenantSpec};
 use crate::telemetry::TelemetryCtx;
 use mcdvfs_core::SweepEngine;
-use mcdvfs_obs::{FlightRecorder, MetricSet, Profiler};
+use mcdvfs_obs::MetricSet;
 use mcdvfs_sim::System;
 use mcdvfs_types::fnv1a64;
 use mcdvfs_workloads::SampleTrace;
@@ -70,8 +70,6 @@ pub struct ServerConfig {
     pub queue_bound: usize,
     /// Response cache capacity in entries, per shard.
     pub cache_capacity: usize,
-    /// Independently locked cache shards (within one engine shard's LRU).
-    pub cache_shards: usize,
     /// Resident engine-shard ceiling; exceeding it evicts the
     /// least-recently-used unpinned shard (the default tenant is pinned).
     pub max_shards: usize,
@@ -85,17 +83,12 @@ pub struct ServerConfig {
     /// load generator raises it to make queue pressure and shard-level
     /// parallelism deterministic.
     pub compute_delay: Duration,
-    /// Collect flight records, stage histograms, and 1-second telemetry
-    /// windows. Off disables every trace allocation and window
-    /// observation (the zero-overhead path); replies are bit-identical
-    /// either way.
+    /// Stamp every request's flight record and derive the latency and
+    /// stage histograms and 1-second telemetry windows from it at
+    /// commit. Off takes no per-request timing, allocates no trace and
+    /// records no histogram (the zero-overhead path); replies are
+    /// bit-identical either way.
     pub telemetry: bool,
-    /// Flight-recorder ring capacity (recent and slow rings each).
-    pub flight_capacity: usize,
-    /// Flights slower than this land in the slow-request log.
-    pub slow_threshold: Duration,
-    /// How many 1-second telemetry windows the ring retains.
-    pub window_seconds: usize,
     /// Snapshot-store directory for tenant warm-starts. When set, lazy
     /// shard builds (first touch and rebuild-after-evict) try the store
     /// before characterizing, and cold characterizations are persisted
@@ -109,16 +102,12 @@ impl Default for ServerConfig {
             workers: 4,
             queue_bound: 64,
             cache_capacity: 256,
-            cache_shards: 8,
             max_shards: 8,
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
             reply_timeout: Duration::from_secs(30),
             compute_delay: Duration::ZERO,
             telemetry: true,
-            flight_capacity: 512,
-            slow_threshold: Duration::from_millis(250),
-            window_seconds: 64,
             snapshot_dir: None,
         }
     }
@@ -132,7 +121,6 @@ pub struct ServeState {
     trace: SampleTrace,
     fingerprint: u64,
     tenants: HashMap<String, TenantSpec>,
-    profiler: Arc<Profiler>,
 }
 
 impl ServeState {
@@ -155,7 +143,6 @@ impl ServeState {
             trace,
             fingerprint,
             tenants: HashMap::new(),
-            profiler: Arc::new(Profiler::disabled()),
         }
     }
 
@@ -166,13 +153,6 @@ impl ServeState {
     #[must_use]
     pub fn with_tenant(mut self, name: impl Into<String>, spec: TenantSpec) -> Self {
         self.tenants.insert(name.into(), spec);
-        self
-    }
-
-    /// Routes request-phase spans and merged metrics into `profiler`.
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Arc<Profiler>) -> Self {
-        self.profiler = profiler;
         self
     }
 
@@ -234,28 +214,21 @@ impl Server {
         let local = listener.local_addr()?;
         let waker = Waker::new()?;
         let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
-        let profiler = Arc::clone(&state.profiler);
-        let recorder = Arc::new(if config.telemetry {
-            FlightRecorder::enabled(config.flight_capacity, config.slow_threshold)
-        } else {
-            FlightRecorder::disabled()
-        });
+        let tel = TelemetryCtx::new(config.telemetry);
         let map = Arc::new(ShardMap::new(
             state.engine,
             state.trace,
             state.tenants,
             CompletionTx::new(completion_tx, waker.clone()),
             &config,
-            Arc::clone(&recorder),
-            Arc::clone(&profiler),
+            Arc::clone(&tel.recorder),
         ));
         let metrics = Arc::new(Mutex::new(MetricSet::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
         let ctx = Ctx {
             map: Arc::clone(&map),
             metrics: Arc::clone(&metrics),
-            profiler: Arc::clone(&profiler),
-            tel: TelemetryCtx::new(recorder, config.window_seconds),
+            tel,
             config,
         };
         let reactor = {
@@ -267,7 +240,6 @@ impl Server {
             addr: local,
             map,
             metrics,
-            profiler,
             shutdown,
             waker,
             reactor: Some(reactor),
@@ -282,7 +254,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     map: Arc<ShardMap>,
     metrics: Arc<Mutex<MetricSet>>,
-    profiler: Arc<Profiler>,
     shutdown: Arc<AtomicBool>,
     waker: Waker,
     reactor: Option<JoinHandle<()>>,
@@ -308,8 +279,11 @@ impl ServerHandle {
     }
 
     /// Stops accepting, drains in-flight requests, joins the reactor and
-    /// every shard worker, and returns the merged metrics (also absorbed
-    /// into the state's profiler).
+    /// every shard worker, and returns the merged metrics: counters
+    /// always, histograms (the ones derived from committed flight
+    /// records, plus reactor-tick and shard-build timings) only with
+    /// telemetry on. A caller that keeps a profiler absorbs this set
+    /// into it.
     ///
     /// The stop flag is raised and then the reactor's waker is written,
     /// so a reactor blocked in `poll(2)` on an idle server wakes at once
@@ -325,9 +299,7 @@ impl ServerHandle {
         // every shard handle disconnects the queues and the workers
         // drain what remains before exiting.
         self.map.shutdown();
-        let merged = self.metrics();
-        self.profiler.absorb(merged.clone());
-        merged
+        self.metrics()
     }
 }
 

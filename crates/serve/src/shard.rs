@@ -30,7 +30,7 @@ use crate::protocol::{
 };
 use crate::server::ServerConfig;
 use mcdvfs_core::{GovernedRun, PolicyScorecard, RunReport, SweepEngine};
-use mcdvfs_obs::{FlightRecorder, MetricSet, Outcome, Profiler, RequestTrace, Stage};
+use mcdvfs_obs::{FlightRecorder, MetricSet, Outcome, RequestTrace, Stage};
 use mcdvfs_policy::{build_policy, PolicyGovernor, SHIPPED_POLICIES};
 use mcdvfs_sim::System;
 use mcdvfs_store::SnapshotStore;
@@ -42,6 +42,9 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// Independently locked cache shards within one engine shard's LRU.
+const CACHE_SHARDS: usize = 8;
 
 /// Identifies one reactor connection *instance*: slot id plus a
 /// generation that changes whenever the slot is reused or the request
@@ -60,7 +63,6 @@ pub(crate) struct Job {
     pub request: Request,
     pub key: CacheKey,
     pub conn: ConnToken,
-    pub enqueued: Instant,
     /// Flight record riding along with the request (`None` when
     /// telemetry is off). The worker stamps dequeued/computed/encoded
     /// and hauls it back on the [`Completion`].
@@ -71,8 +73,6 @@ pub(crate) struct Job {
 pub(crate) struct Completion {
     pub conn: ConnToken,
     pub reply: Arc<String>,
-    /// How the worker classified the reply (for window counting).
-    pub outcome: Outcome,
     /// The job's flight record, stamped through `encoded`; the reactor
     /// stamps `write_flushed` and commits it.
     pub trace: Option<RequestTrace>,
@@ -192,7 +192,6 @@ pub(crate) struct ShardCore {
     /// Shared timestamp base for flight-record stamps (workers never
     /// commit — the reactor does, after the write flush).
     recorder: Arc<FlightRecorder>,
-    profiler: Arc<Profiler>,
     compute_delay: Duration,
 }
 
@@ -249,11 +248,9 @@ pub(crate) struct ShardMap {
     workers_per_shard: usize,
     queue_bound: usize,
     cache_capacity: usize,
-    cache_shards: usize,
     max_shards: usize,
     compute_delay: Duration,
     recorder: Arc<FlightRecorder>,
-    profiler: Arc<Profiler>,
     /// Snapshot store for warm-starting lazy shard builds, when the
     /// server was configured with a snapshot directory.
     store: Option<SnapshotStore>,
@@ -272,7 +269,6 @@ impl ShardMap {
         completions: CompletionTx,
         config: &ServerConfig,
         recorder: Arc<FlightRecorder>,
-        profiler: Arc<Profiler>,
     ) -> Self {
         let default_name = default_engine.data().name().to_string();
         let map = Self {
@@ -288,11 +284,9 @@ impl ShardMap {
             workers_per_shard: config.workers.max(1),
             queue_bound: config.queue_bound,
             cache_capacity: config.cache_capacity,
-            cache_shards: config.cache_shards,
             max_shards: config.max_shards.max(1),
             compute_delay: config.compute_delay,
             recorder,
-            profiler,
             store: config
                 .snapshot_dir
                 .as_ref()
@@ -385,7 +379,9 @@ impl ShardMap {
         let core = self.install(name, engine, trace, false);
         record(&core.worker_metrics[0], |m| {
             m.incr("shard.builds", 1);
-            m.observe_duration_ns("shard.build_ns", built_ns);
+            if self.recorder.is_enabled() {
+                m.observe_duration_ns("shard.build_ns", built_ns);
+            }
             if warm_started {
                 m.incr("shard.warm_starts", 1);
             }
@@ -476,7 +472,7 @@ impl ShardMap {
             fingerprint,
             engine,
             trace,
-            cache: ShardedLru::new(self.cache_capacity, self.cache_shards),
+            cache: ShardedLru::new(self.cache_capacity, CACHE_SHARDS),
             queue_depth: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -489,7 +485,6 @@ impl ShardMap {
                 .map(|_| Mutex::new(MetricSet::new()))
                 .collect(),
             recorder: Arc::clone(&self.recorder),
-            profiler: Arc::clone(&self.profiler),
             compute_delay: self.compute_delay,
         });
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(self.queue_bound.max(1));
@@ -570,21 +565,15 @@ impl ShardMap {
         }
     }
 
-    /// Per-shard merged worker metrics, sorted by workload name — the
-    /// per-shard view a `telemetry` reply summarizes (the global merge
-    /// above flattens shard identity away).
-    pub fn shard_metric_rows(&self) -> Vec<(String, MetricSet)> {
-        // Keyed by name so an evicted-and-rebuilt shard folds into one
-        // row rather than duplicating its workload.
-        let mut rows: std::collections::BTreeMap<String, MetricSet> =
-            std::collections::BTreeMap::new();
-        for core in self.cores.lock().expect("core list poisoned").iter() {
-            let merged = rows.entry(core.name.clone()).or_default();
-            for slot in &core.worker_metrics {
-                merged.merge(&slot.lock().expect("worker metrics poisoned"));
-            }
-        }
-        rows.into_iter().collect()
+    /// The workload name of the shard built for `fingerprint` (live or
+    /// evicted), or the fingerprint in hex if none was.
+    pub fn name_of(&self, fingerprint: u64) -> String {
+        self.cores
+            .lock()
+            .expect("core list poisoned")
+            .iter()
+            .find(|core| core.fingerprint == fingerprint)
+            .map_or_else(|| format!("{fingerprint:016x}"), |core| core.name.clone())
     }
 
     /// Disconnects every queue and joins every worker ever spawned.
@@ -641,59 +630,20 @@ fn worker_loop(
         if let Some(t) = trace.as_mut() {
             t.stamp(Stage::Dequeued, core.recorder.now_ns());
         }
-        let p = &core.profiler;
-        let queued_ns = job.enqueued.elapsed().as_nanos() as f64;
-        {
-            let _span = p.span("dispatch");
-            record(&core.worker_metrics[slot], |m| {
-                m.observe_duration_ns("latency.queue_ns", queued_ns);
-            });
-        }
         if !core.compute_delay.is_zero() {
             thread::sleep(core.compute_delay);
         }
-        let t0 = Instant::now();
-        let response = {
-            let _span = p.span("compute");
-            compute(core, &job.request)
-        };
-        let computed_at = core.recorder.now_ns();
-        let encoded = {
-            let _span = p.span("encode");
-            Arc::new(response.encode())
-        };
-        let compute_ns = t0.elapsed().as_nanos() as f64;
-        record(&core.worker_metrics[slot], |m| {
-            m.observe_duration_ns("latency.compute_ns", compute_ns);
-            m.incr("cache.miss", 1);
-        });
-        let outcome = if matches!(response, Response::Error(_)) {
-            Outcome::Error
-        } else {
-            Outcome::Ok
-        };
+        let response = compute(core, &job.request);
         if let Some(t) = trace.as_mut() {
-            let encoded_at = core.recorder.now_ns();
-            t.stamp(Stage::Computed, computed_at);
-            t.stamp(Stage::Encoded, encoded_at);
-            t.outcome = outcome;
-            // Per-(kind, stage) latency histograms, gated with the
-            // trace so the telemetry-off path records nothing extra.
-            let kind = job.request.kind();
-            let queue = t
-                .stage_ns(Stage::Dequeued)
-                .zip(t.stage_ns(Stage::Enqueued))
-                .map(|(d, e)| d.saturating_sub(e));
-            record(&core.worker_metrics[slot], |m| {
-                if let Some(queue_ns) = queue {
-                    m.observe_duration_ns(&format!("stage.{kind}.queue_ns"), queue_ns as f64);
-                }
-                m.observe_duration_ns(&format!("stage.{kind}.compute_ns"), compute_ns);
-                m.observe_duration_ns(
-                    &format!("stage.{kind}.encode_ns"),
-                    encoded_at.saturating_sub(computed_at) as f64,
-                );
-            });
+            t.stamp(Stage::Computed, core.recorder.now_ns());
+        }
+        let encoded = Arc::new(response.encode());
+        record(&core.worker_metrics[slot], |m| m.incr("cache.miss", 1));
+        if let Some(t) = trace.as_mut() {
+            t.stamp(Stage::Encoded, core.recorder.now_ns());
+            if matches!(response, Response::Error(_)) {
+                t.outcome = Outcome::Error;
+            }
         }
         core.misses.fetch_add(1, Ordering::Relaxed);
         // Errors are not cached: a later identical request may be valid
@@ -705,7 +655,6 @@ fn worker_loop(
         completions.send(Completion {
             conn: job.conn,
             reply: encoded,
-            outcome,
             trace,
         });
     }

@@ -2,24 +2,57 @@
 //!
 //! The reactor thread owns all windowed state: [`TelemetryCtx`] bundles
 //! the flight recorder (shared with shard workers for timestamping), the
-//! single-writer [`WindowRing`], the live in-flight gauge, and the start
-//! instant behind `uptime_ms`. Everything here is assembled on the
-//! reactor thread, so the window ring needs no lock at all
-//! (`RefCell`) and the in-flight gauge is a plain `Cell`.
+//! single-writer [`WindowRing`], the per-shard compute histograms, the
+//! live in-flight gauge, and the start instant behind `uptime_ms`.
+//! Everything here is assembled on the reactor thread, so the window
+//! ring and the compute histograms need no lock at all (`RefCell`) and
+//! the in-flight gauge is a plain `Cell`.
+//!
+//! [`TelemetryCtx::commit`] is the server's one request clock: every
+//! per-request latency figure — `latency.request_ns`, the
+//! `stage.{kind}.*` histograms, the per-shard compute rows and the window
+//! samples — is derived there from a committed flight record's stamps,
+//! so each has exactly one definition and none exists with telemetry
+//! off.
 //!
 //! [`cross_check`] is the validation pass `loadgen` and the e2e suite
 //! share: server-side telemetry must agree with what the client
 //! observed — total request counts match *exactly* (the server counts
 //! every decoded request, the client counts every request it issued),
+//! `latency.request_ns` holds exactly one sample per committed flight,
 //! and the server-measured p95 must not exceed the client-measured p95
 //! (every server-side sample excludes the network and client stack
 //! that its client-side counterpart includes).
 
 use crate::protocol::{WireHistogram, WireStats, WireTelemetry, WireTrace};
-use mcdvfs_obs::{FlightRecorder, Histogram, RequestTrace, WindowClass, WindowRing};
+use mcdvfs_obs::{
+    duration_edges_ns, FlightRecorder, Histogram, MetricSet, Outcome, RequestTrace, Stage,
+    WindowClass, WindowRing,
+};
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Flight-recorder ring capacity (recent and slow rings each).
+const FLIGHT_CAPACITY: usize = 512;
+
+/// Flights slower than this land in the slow-request log.
+const SLOW_THRESHOLD: Duration = Duration::from_millis(250);
+
+/// How many 1-second telemetry windows the ring retains.
+const WINDOW_SECONDS: usize = 64;
+
+/// The stage intervals each committed flight contributes to the
+/// `stage.{kind}.{name}_ns` histograms: `(name, from, to)`, recorded
+/// when the flight stamped both ends. `compute` includes any configured
+/// artificial compute delay, which stands in for compute cost.
+const STAGE_SPANS: [(&str, Stage, Stage); 4] = [
+    ("decode", Stage::FrameComplete, Stage::Decoded),
+    ("queue", Stage::Enqueued, Stage::Dequeued),
+    ("compute", Stage::Dequeued, Stage::Computed),
+    ("encode", Stage::Computed, Stage::Encoded),
+];
 
 /// Reactor-owned telemetry state (plus the worker-shared recorder).
 pub(crate) struct TelemetryCtx {
@@ -27,6 +60,9 @@ pub(crate) struct TelemetryCtx {
     pub recorder: Arc<FlightRecorder>,
     /// Single-writer ring of 1-second windows.
     pub windows: RefCell<WindowRing>,
+    /// Dequeued → computed time per tenant fingerprint, behind the
+    /// `shard_compute` rows of a `telemetry` reply.
+    pub shard_compute: RefCell<BTreeMap<u64, Histogram>>,
     /// Compute requests currently queued or running.
     pub in_flight: Cell<u64>,
     /// Server start instant, behind `uptime_ms`.
@@ -34,10 +70,17 @@ pub(crate) struct TelemetryCtx {
 }
 
 impl TelemetryCtx {
-    pub fn new(recorder: Arc<FlightRecorder>, window_seconds: usize) -> Self {
+    /// Telemetry state with the flight recorder on or off.
+    pub fn new(enabled: bool) -> Self {
+        let recorder = if enabled {
+            FlightRecorder::enabled(FLIGHT_CAPACITY, SLOW_THRESHOLD)
+        } else {
+            FlightRecorder::disabled()
+        };
         Self {
-            recorder,
-            windows: RefCell::new(WindowRing::new(window_seconds)),
+            recorder: Arc::new(recorder),
+            windows: RefCell::new(WindowRing::new(WINDOW_SECONDS)),
+            shard_compute: RefCell::new(BTreeMap::new()),
             in_flight: Cell::new(0),
             started: Instant::now(),
         }
@@ -48,15 +91,42 @@ impl TelemetryCtx {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    /// Counts one served reply into the current 1-second window.
-    /// No-op when telemetry is disabled — windows are part of the
-    /// zero-overhead gating contract.
-    pub fn observe_window(&self, class: WindowClass, latency_ns: f64) {
-        if self.recorder.is_enabled() {
-            self.windows
-                .borrow_mut()
-                .observe(self.recorder.now_ns(), class, latency_ns);
+    /// Commits one finished flight and derives every per-request figure
+    /// from its stamps: `latency.request_ns` (the flight's
+    /// [`total_ns`](RequestTrace::total_ns), first byte in to last byte
+    /// flushed — the number `trace_dump` and the slow log report), the
+    /// [`STAGE_SPANS`] histograms, the shard's compute row, and one
+    /// window sample. No-op when telemetry is disabled.
+    pub fn commit(&self, trace: RequestTrace, metrics: &Mutex<MetricSet>) {
+        if !self.recorder.is_enabled() {
+            return;
         }
+        let total_ns = trace.total_ns() as f64;
+        let span_ns = |from: Stage, to: Stage| {
+            Some(trace.stage_ns(to)?.saturating_sub(trace.stage_ns(from)?) as f64)
+        };
+        {
+            let mut m = metrics.lock().expect("reactor metrics poisoned");
+            m.observe_duration_ns("latency.request_ns", total_ns);
+            for (name, from, to) in STAGE_SPANS {
+                if let Some(ns) = span_ns(from, to) {
+                    m.observe_duration_ns(&format!("stage.{}.{name}_ns", trace.kind), ns);
+                }
+            }
+        }
+        if let Some(ns) = span_ns(Stage::Dequeued, Stage::Computed) {
+            self.shard_compute
+                .borrow_mut()
+                .entry(trace.fingerprint)
+                .or_insert_with(|| Histogram::new(duration_edges_ns()))
+                .add(ns);
+        }
+        self.windows.borrow_mut().observe(
+            self.recorder.now_ns(),
+            window_class(trace.outcome),
+            total_ns,
+        );
+        self.recorder.commit(trace);
     }
 
     /// Raises the current window's queue-depth high-water mark.
@@ -72,6 +142,15 @@ impl TelemetryCtx {
         let v = i64::try_from(self.in_flight.get()).unwrap_or(i64::MAX) + delta;
         self.in_flight
             .set(u64::try_from(v.max(0)).expect("non-negative"));
+    }
+}
+
+/// Maps a request outcome onto its windowed-telemetry class.
+fn window_class(outcome: Outcome) -> WindowClass {
+    match outcome {
+        Outcome::Ok | Outcome::CacheHit => WindowClass::Ok,
+        Outcome::Error | Outcome::TimedOut => WindowClass::Error,
+        Outcome::Shed => WindowClass::Shed,
     }
 }
 
@@ -119,15 +198,17 @@ pub struct CrossCheck {
 }
 
 /// Cross-checks server-side telemetry against client-observed counts:
-/// totals must match exactly, and the server-measured p95 (which
+/// totals must match exactly, `latency.request_ns` must hold exactly
+/// one sample per committed flight, and the server-measured p95 (which
 /// excludes the network and the client stack) must not exceed the
 /// client-measured p95.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first disagreement —
-/// count drift, missing server histogram, or a server p95 above the
-/// client p95.
+/// count drift, missing server histogram, a latency sample count that
+/// differs from the flight recorder's, or a server p95 above the client
+/// p95.
 pub fn cross_check(
     stats: &WireStats,
     telemetry: &WireTelemetry,
@@ -140,12 +221,18 @@ pub fn cross_check(
             "request-count drift: server decoded {server_total}, client issued {client_total}"
         ));
     }
-    let server_p95_ns = telemetry
+    let latency = telemetry
         .histograms
         .iter()
         .find(|h| h.name == "latency.request_ns")
-        .map(|h| h.p95_ns)
         .ok_or("server telemetry has no latency.request_ns histogram")?;
+    if latency.count != telemetry.flight_recorded {
+        return Err(format!(
+            "latency.request_ns holds {} samples for {} committed flights",
+            latency.count, telemetry.flight_recorded
+        ));
+    }
+    let server_p95_ns = latency.p95_ns;
     if server_p95_ns > client_p95_ns {
         return Err(format!(
             "server p95 {server_p95_ns:.0} ns exceeds client p95 {client_p95_ns:.0} ns"
@@ -224,11 +311,47 @@ mod tests {
         missing.histograms.clear();
         let err = cross_check(&stats(8), &missing, 8, 1_500.0).unwrap_err();
         assert!(err.contains("latency.request_ns"), "{err}");
+        // One latency sample per committed flight: a histogram that saw
+        // more (or fewer) requests than the recorder committed has a
+        // second clock somewhere.
+        let mut drifted = telemetry(1_000.0);
+        drifted.flight_recorded = 7;
+        let err = cross_check(&stats(8), &drifted, 8, 1_500.0).unwrap_err();
+        assert!(err.contains("8 samples for 7 committed flights"), "{err}");
+    }
+
+    #[test]
+    fn commit_derives_every_timing_from_the_stamps() {
+        let metrics = Mutex::new(MetricSet::new());
+        let ctx = TelemetryCtx::new(true);
+        let mut t = ctx.recorder.begin("cluster");
+        t.fingerprint = 0xfeed;
+        for (i, &stage) in Stage::ALL.iter().enumerate() {
+            t.stamp(stage, 100 * (i as u64 + 1));
+        }
+        ctx.commit(t, &metrics);
+        let m = metrics.lock().unwrap();
+        let request = m.histogram("latency.request_ns").unwrap();
+        assert_eq!((request.total(), request.max_value()), (1, Some(700.0)));
+        for name in ["decode", "queue", "compute", "encode"] {
+            let h = m.histogram(&format!("stage.cluster.{name}_ns")).unwrap();
+            assert_eq!(h.max_value(), Some(100.0), "{name}");
+        }
+        assert_eq!(ctx.shard_compute.borrow()[&0xfeed].total(), 1);
+        assert_eq!(ctx.recorder.counts().recorded, 1);
+        assert_eq!(ctx.windows.borrow().snapshot()[0].requests, 1);
+
+        // Off: the commit derives nothing and records nothing.
+        let quiet = Mutex::new(MetricSet::new());
+        let off = TelemetryCtx::new(false);
+        off.commit(off.recorder.begin("cluster"), &quiet);
+        assert!(quiet.lock().unwrap().is_empty());
+        assert!(off.shard_compute.borrow().is_empty());
     }
 
     #[test]
     fn in_flight_gauge_saturates_at_zero() {
-        let ctx = TelemetryCtx::new(Arc::new(FlightRecorder::disabled()), 4);
+        let ctx = TelemetryCtx::new(false);
         ctx.in_flight_add(2);
         ctx.in_flight_add(-1);
         assert_eq!(ctx.in_flight.get(), 1);

@@ -664,10 +664,16 @@ fn telemetry_gating_leaves_compute_replies_bit_identical() {
         if telemetry {
             assert!(tel.flight_recorded > 0, "recorder saw the requests");
             assert!(metrics.counter("reactor.ticks") > 0, "tick metrics on");
+            assert!(metrics.histogram("latency.request_ns").is_some());
         } else {
             assert_eq!(tel.flight_recorded, 0, "disabled recorder stays empty");
             assert_eq!(tel.slow_threshold_ns, 0);
             assert_eq!(metrics.counter("reactor.ticks"), 0, "tick metrics off");
+            // No per-request timing is taken with telemetry off, so no
+            // histogram of any kind reaches the shutdown metrics.
+            let names: Vec<&str> = metrics.histogram_names().collect();
+            assert!(names.is_empty(), "histograms recorded while off: {names:?}");
+            assert!(tel.histograms.is_empty() && tel.shard_compute.is_empty());
         }
         replies.push((choices, report));
     }
@@ -702,10 +708,28 @@ fn trace_dump_returns_monotone_stage_timelines_over_the_socket() {
     let server =
         Server::start("127.0.0.1:0", ServeState::new(engine(), trace()), config(2)).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
+    // Computed, then cached, then inline, then a typed error.
+    for _ in 0..2 {
+        assert!(matches!(
+            client.request(&Request::OptimalSetting { budget }).unwrap(),
+            Response::OptimalSetting(_)
+        ));
+    }
     assert!(matches!(
-        client.request(&Request::OptimalSetting { budget }).unwrap(),
-        Response::OptimalSetting(_)
+        client.request(&Request::Health).unwrap(),
+        Response::Health(_)
     ));
+    let bogus = Request::GovernedReplay {
+        governor: "bogus".to_string(),
+        budget,
+    };
+    assert!(matches!(
+        client.request(&bogus).unwrap(),
+        Response::Error(_)
+    ));
+    let Response::Telemetry(tel) = client.request(&Request::Telemetry).unwrap() else {
+        panic!("wrong reply kind");
+    };
     let Response::TraceDump(traces) = client
         .request(&Request::TraceDump {
             limit: 16,
@@ -750,6 +774,34 @@ fn trace_dump_returns_monotone_stage_timelines_over_the_socket() {
             pair[1].t_ns
         );
     }
+    // One latency definition: the telemetry reply's request histogram
+    // holds exactly the flights committed before it was built — every
+    // dumped record but the telemetry query's own — and its max is their
+    // largest first-byte-in to last-byte-flushed time.
+    let before: Vec<_> = traces.iter().filter(|t| t.kind != "telemetry").collect();
+    assert_eq!(
+        before
+            .iter()
+            .map(|t| t.outcome.as_str())
+            .collect::<Vec<_>>(),
+        vec!["ok", "cache_hit", "ok", "error"]
+    );
+    let latency = tel
+        .histograms
+        .iter()
+        .find(|h| h.name == "latency.request_ns")
+        .expect("request latency histogram");
+    assert_eq!(latency.count, before.len() as u64);
+    assert_eq!(latency.count, tel.flight_recorded);
+    let slowest = before.iter().map(|t| t.total_ns).max().unwrap();
+    assert_eq!(latency.max_ns, slowest as f64);
+    // The two flights that reached a worker form the shard's compute row.
+    let rows: Vec<_> = tel
+        .shard_compute
+        .iter()
+        .map(|r| (r.name.as_str(), r.count))
+        .collect();
+    assert_eq!(rows, vec![("gobmk", 2)]);
     let _ = server.shutdown();
 }
 
